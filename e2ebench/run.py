@@ -1,6 +1,6 @@
 """End-to-end benchmark of the ``repro`` query engine: one workload, one seed.
 
-    python3 e2ebench/run.py --workload omq-chase --seed 1 --seconds 25 --trace 0
+    python3 e2ebench/run.py --workload omq-chase --seed 1 --seconds 30 --trace 0
 
 Run from the root of a checkout (the package is imported from ``src/``).
 The command
@@ -9,9 +9,11 @@ The command
    a fresh checkout does not land in the measured set-up time;
 2. times a fixed pure-Python loop (``host.probe_ms``), to explain drift;
 3. runs the workload in a fresh interpreter with ``PYTHONHASHSEED=0``
-   (``worker.py``): set-up, warm-up, the timed phase, then the oracle;
-4. with ``--trace 0``, starts a few more interpreters that only set up,
-   and reports the median set-up time of all of them as ``setup_s``;
+   (``worker.py``): set-up, a warm-up round, the timed rounds over the
+   same ops, then the oracle;
+4. with ``--trace 0``, starts twenty more interpreters that only set up,
+   ten before the measured run and ten after it, and reports the
+   median set-up time of all of them as ``setup_s``;
 5. times the probe loop again and prints one JSON object as the last line:
    ``{"correct", "attempted", "failed", "metrics"}``.  ``--trace 0``
    reports the end-to-end metrics, ``--trace 1`` the per-layer ones (a
@@ -41,9 +43,10 @@ sys.path.insert(0, str(HERE))
 import inputs  # noqa: E402 - needs the path above
 
 WORKLOADS = ("omq-chase", "cq-closed-world", "service-mixed")
-#: Extra set-up-only interpreters per untraced run (``setup_s`` is the
-#: median over these and the measured run's own set-up).
-SETUP_SAMPLES = 6
+#: Extra set-up-only interpreters per untraced run, half of them started
+#: before the measured run and half after it (``setup_s`` is the median
+#: over these and the measured run's own set-up).
+SETUP_SAMPLES = 20
 #: Wall-clock cap on all the interpreters of one run together, so that
 #: the command ends within 180 s even if the program hangs.
 CHILDREN_TIMEOUT = 160.0
@@ -87,7 +90,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=25)
+    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -102,17 +105,19 @@ def main(argv=None) -> int:
     common = ["--workload", args.workload, "--seed", str(args.seed)]
     setups: list[float] = []
     deadline = time.monotonic() + CHILDREN_TIMEOUT
+    samples = 0 if args.trace else SETUP_SAMPLES // 2
     try:
+        for _ in range(samples):
+            setups.append(child(common + ["--setup-only"], deadline)["setup_s"])
         result = child(
             common + ["--seconds", str(args.seconds), "--trace", str(args.trace)],
             deadline,
         )
         metrics = result["metrics"]
         if not args.trace:
-            setups = [metrics["setup_s"]["value"]] + [
-                child(common + ["--setup-only"], deadline)["setup_s"]
-                for _ in range(SETUP_SAMPLES)
-            ]
+            setups.append(metrics["setup_s"]["value"])
+        for _ in range(samples):
+            setups.append(child(common + ["--setup-only"], deadline)["setup_s"])
     except (RuntimeError, subprocess.TimeoutExpired, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -126,6 +131,10 @@ def main(argv=None) -> int:
     else:
         metrics["setup_s"]["value"] = statistics.median(setups)
     correct = result["failed"] == 0
+    print(
+        f"# {result['ops_per_round']} ops per round, one warm-up round and"
+        f" {result['timed_rounds']} timed, {result['rounds_s']:.1f} s"
+    )
     print(
         f"# host.probe_ms before={probe_before:.2f} after={probe_after:.2f}"
         f" setup_samples={[round(s, 4) for s in setups]}"

@@ -14,7 +14,9 @@ With ``--repeats K`` it then makes K traced runs with the first seed and
 flags every work counter that does not repeat exactly (expected to repeat
 on omq-chase and cq-closed-world; the service's two connections race, so
 there the check is informational), and reports the tracing overhead as
-the traced throughput over the untraced median.
+the traced throughput over the untraced median.  The traced run times one
+round while the untraced figure reads the fast part of up to twenty, so
+the ratio also holds some host drift.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ Started by ``run.py`` with ``PYTHONHASHSEED=0`` and the parent's
 so ``setup_s`` runs from process start to the end of set-up.  Prints one
 JSON object as its last line of standard output.
 
-    python3 e2ebench/worker.py --workload omq-chase --seed 1 --seconds 25 --trace 0
+    python3 e2ebench/worker.py --workload omq-chase --seed 1 --seconds 30 --trace 0
     python3 e2ebench/worker.py --workload omq-chase --seed 1 --setup-only
 """
 
@@ -24,10 +24,19 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 sys.path.insert(0, str(HERE))
 
-#: Traced runs execute a fixed number of ops, ``rate * seconds``, so that
-#: their work counters repeat exactly for a given seed; the rates are
-#: close to the untraced throughput on a 2-core x86-64 host.
-TRACE_RATE = {"omq-chase": 50, "cq-closed-world": 55, "service-mixed": 150}
+#: Timed rounds of an untraced run, at most and at least.  Every round
+#: runs the same ops from the same program state, and an op's latency is
+#: the best of its rounds.  A run holds fewer than ``ROUNDS`` only when the
+#: host is too slow to fit them into ``--seconds``.
+ROUNDS = 20
+MIN_ROUNDS = 3
+#: Ops per second of ``--seconds``, close to what a 2-core x86-64 host
+#: runs: a run has about ``RATE * seconds / (ROUNDS + 1)`` ops per round
+#: (rounded to whole blocks of the workload's schedule), one untimed
+#: warm-up round and ``ROUNDS`` timed ones.  The traced run has
+#: the warm-up round and one traced round of the same ops, so its work
+#: counters repeat exactly for a given seed.
+RATE = {"omq-chase": 80, "cq-closed-world": 55, "service-mixed": 100}
 
 
 def percentile(values: list[float], percent: int) -> float:
@@ -49,11 +58,29 @@ def cache_counters(caches) -> dict:
     return {name: sum(getattr(c, name) for c in caches) for name in names}
 
 
-def end_to_end(records, timed_wall: float, setup_s: float, rss_mb: float) -> dict:
+def end_to_end(rounds, walls, connections: int, setup_s: float, rss_mb: float) -> dict:
+    """End-to-end metrics of the timed rounds.
+
+    Host contention only ever slows an op down, so the metrics keep the
+    fast part of the rounds.  With one client an op's latency is the best
+    of its rounds, and throughput is one op after another at those
+    latencies.  With two connections a request's latency also depends on
+    what the other connection runs at that moment, which differs from
+    round to round; so whole rounds are kept instead, the fastest half by
+    wall time, and their requests pooled.
+    """
+    records = [record for records in rounds for record in records]
     correct = sum(r.correct for r in records)
-    latencies = [r.latency * 1000.0 for r in records]
+    if connections == 1:
+        columns = zip(*([r.latency for r in records] for records in rounds))
+        latencies = [min(column) * 1000.0 for column in columns]
+        throughput = len(latencies) * 1000.0 / sum(latencies)
+    else:
+        kept = sorted(range(len(rounds)), key=walls.__getitem__)[: -(-len(rounds) // 2)]
+        latencies = [r.latency * 1000.0 for i in kept for r in rounds[i]]
+        throughput = len(latencies) / sum(walls[i] for i in kept)
     return {
-        "throughput_ops_s": (correct / timed_wall, "ops/s"),
+        "throughput_ops_s": (throughput, "ops/s"),
         "latency_p50_ms": (percentile(latencies, 50), "ms"),
         "latency_p99_ms": (percentile(latencies, 99), "ms"),
         "correct_frac": (correct / len(records), "1"),
@@ -62,7 +89,7 @@ def end_to_end(records, timed_wall: float, setup_s: float, rss_mb: float) -> dic
     }
 
 
-def per_layer(records, driver, tracer, before: dict, after: dict) -> dict:
+def per_layer(records, runner, tracer, before: dict, after: dict) -> dict:
     from repro.datamodel.interning import default_pool
 
     stats: dict = {}
@@ -152,8 +179,8 @@ def per_layer(records, driver, tracer, before: dict, after: dict) -> dict:
         "runtime.gc_pause_s": (tracer.gc_pause, "s"),
         "runtime.gc_gen2": (tracer.gc_gen2, "count"),
         "datamodel.interned_terms": (default_pool().sizes()["terms"], "count"),
-        "trace.coverage": (tracer.top_level / driver.timed_wall, "1"),
-        "trace.throughput_ops_s": (len(records) / driver.timed_wall, "ops/s"),
+        "trace.coverage": (tracer.top_level / runner.round_wall, "1"),
+        "trace.throughput_ops_s": (len(records) / runner.round_wall, "ops/s"),
     }
 
 
@@ -161,55 +188,77 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true")
     args = parser.parse_args(argv)
     spawned = int(os.environ.get("E2EBENCH_SPAWNED_NS", time.monotonic_ns()))
 
-    from workloads import DRIVERS
+    import inputs
+    from workloads import RUNNERS
 
-    driver = DRIVERS[args.workload](args.seed)
-    driver.setup()
+    runner = RUNNERS[args.workload](args.seed)
+    runner.setup()
     setup_s = (time.monotonic_ns() - spawned) / 1e9
     if args.setup_only:
-        driver.close()
+        runner.close()
         print(json.dumps({"setup_s": setup_s}))
         return 0
 
-    driver.warmup()
+    # Whole blocks only, so every seed does the same mix of work.
+    block = inputs.block_size(args.workload) * runner.connections
+    blocks = max(round(RATE[args.workload] * args.seconds / (ROUNDS + 1) / block), 1)
+    ops = runner.round_ops(blocks * block)
+    started = time.monotonic()
+    runner.begin_round()
+    warmup = runner.run_round(ops)
     tracer = None
-    if args.trace:
-        from tracing import Tracer
+    rounds: list[list] = []
+    walls: list[float] = []
+    while len(rounds) < (1 if args.trace else ROUNDS):
+        # On a slow host, stop once the next round would overrun --seconds.
+        elapsed = time.monotonic() - started
+        per_round = elapsed / (len(rounds) + 1)
+        if len(rounds) >= MIN_ROUNDS and elapsed + per_round > args.seconds:
+            break
+        runner.begin_round()
+        before = cache_counters(runner.caches())
+        gc.collect()
+        if args.trace:
+            from tracing import Tracer
 
-        tracer = Tracer()
-    before = cache_counters(driver.caches())
-    gc.collect()
-    if tracer is not None:
-        tracer.install()
-        try:
-            records = driver.run(
-                ops=round(TRACE_RATE[args.workload] * args.seconds), traced=True
-            )
-        finally:
-            tracer.uninstall()
-    else:
-        records = driver.run(seconds=args.seconds)
+            tracer = Tracer().install()
+            try:
+                rounds.append(runner.run_round(ops, traced=True))
+            finally:
+                tracer.uninstall()
+        else:
+            rounds.append(runner.run_round(ops))
+        walls.append(runner.round_wall)
+    shape = {
+        "ops_per_round": len(ops) if runner.connections == 1 else sum(map(len, ops)),
+        "timed_rounds": len(rounds),
+        "rounds_s": time.monotonic() - started,
+    }
     # Peak memory of the program under load, before the oracle allocates.
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    after = cache_counters(driver.caches())
-    driver.close()
-    driver.oracle(records)
+    after = cache_counters(runner.caches())
+    runner.close()
+    runner.oracle([warmup] + rounds)
+    if any(not r.correct for r in warmup):
+        raise SystemExit("the warm-up round disagrees with the oracle")
 
     if tracer is not None:
-        metrics = per_layer(records, driver, tracer, before, after)
+        metrics = per_layer(rounds[0], runner, tracer, before, after)
     else:
-        metrics = end_to_end(records, driver.timed_wall, setup_s, rss_mb)
+        metrics = end_to_end(rounds, walls, runner.connections, setup_s, rss_mb)
+    records = [record for records in rounds for record in records]
     failures = [(i, r) for i, r in enumerate(records) if not r.correct]
     print(
         json.dumps(
             {
                 "attempted": len(records),
+                **shape,
                 "failed": len(failures),
                 "first_failure": (
                     None

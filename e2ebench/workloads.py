@@ -1,4 +1,4 @@
-"""The three workloads: set-up, warm-up, timed phase and oracle routes.
+"""The three workloads: set-up, rounds of ops, and oracle routes.
 
 Each driver runs inside one fresh interpreter (see ``worker.py``) and
 exposes the same phases:
@@ -6,24 +6,26 @@ exposes the same phases:
 * ``setup()`` — parse the ontologies and queries, start the sessions (or
   the service, its transport and the client connections).  The worker
   times process start to the end of this call as ``setup_s``.
-* ``warmup()`` — a few untimed ops.
-* ``run(seconds=..., ops=...)`` — the timed phase: until *seconds* of
-  wall time have passed, or exactly *ops* operations (the traced run, so
-  that work counters repeat exactly).  Returns one :class:`Record` per op.
-* ``oracle(records)`` — after the timed phase, recompute every distinct
+* ``round_ops(count)`` — the run's op list, generated from the seed.
+* ``begin_round()`` — reset the program's state (fresh sessions, or a
+  fresh service with its pools warmed), so that every round over the same
+  ops does the same work.  Not timed.
+* ``run_round(ops)`` — one round: every op once, each timed on its own.
+  Returns one :class:`Record` per op, in op order.
+* ``oracle(rounds)`` — after the timed rounds, recompute every distinct
   op's answers by an independent route and mark each record.
 
 Answers are compared as sets of tuples of strings: the SQL backend
 returns stringified constants, the service sends strings on the wire.
-A record keeps only a digest of its answer set, not the op's database:
-the oracle regenerates the ops from the seed.  So memory does not grow
-with the number of ops a run fits in, and ``peak_rss_mb`` measures the
-program rather than the benchmark's bookkeeping.
+A record keeps only a digest of its answer set, so the records of all
+rounds together stay small and ``peak_rss_mb`` measures the program
+rather than the benchmark's bookkeeping.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import hashlib
 import itertools
 import json
@@ -105,7 +107,7 @@ class Oracle:
 class LibraryDriver:
     """Shared loop of the two single-client library workloads."""
 
-    warmup_ops = 30
+    connections = 1
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
@@ -124,22 +126,24 @@ class LibraryDriver:
         """The oracle's arguments for *op*."""
         raise NotImplementedError
 
-    def warmup(self) -> None:
-        self.stream = self.ops()
-        for op in itertools.islice(self.stream, self.warmup_ops):
-            self.call(self.prepare(op))
+    def round_ops(self, count: int) -> list:
+        """The first *count* ops of the stream: every round runs these."""
+        self.ops_list = list(itertools.islice(self.ops(), count))
+        return self.ops_list
 
-    def run(self, *, seconds: float | None = None, ops: int | None = None, traced=False):
-        """Timed phase; the timed wall time is the sum of op latencies.
+    def begin_round(self) -> None:
+        """Reset program state, so that every round does the same work."""
+
+    def run_round(self, ops: list, traced=False) -> list:
+        """One round over *ops*; the round's wall time is the sum of op latencies.
 
         Building each op's database (parsing its facts into an
         ``Instance``) happens before its clock starts.
         """
         clock = time.perf_counter
         records: list[Record] = []
-        deadline = clock() + (seconds or 0.0)
-        while (len(records) < ops) if ops is not None else (clock() < deadline):
-            prepared = self.prepare(next(self.stream))
+        for op in ops:
+            prepared = self.prepare(op)
             start = clock()
             try:
                 answer = self.call(prepared)
@@ -151,12 +155,14 @@ class LibraryDriver:
             if traced and answer.stats is not None:
                 record.stats = answer.stats.as_dict()
             records.append(record)
-        self.timed_wall = sum(r.latency for r in records)
+        self.round_wall = sum(r.latency for r in records)
         return records
 
-    def oracle(self, records) -> None:
-        timed_ops = itertools.islice(self.ops(), self.warmup_ops, None)
-        Oracle().mark(records, timed_ops, self.route)
+    def oracle(self, rounds: list) -> None:
+        """Mark every round's records against the oracle (memoised per op)."""
+        oracle = Oracle()
+        for records in rounds:
+            oracle.mark(records, self.ops_list, self.route)
 
     def close(self) -> None:
         pass
@@ -166,17 +172,24 @@ class OmqChase(LibraryDriver):
     """Open-world certain answers through one Engine session per ontology."""
 
     def setup(self) -> None:
-        self.engines = {
-            name: Engine(parse_tgds(list(texts)))
+        self.tgds = {
+            name: parse_tgds(list(texts))
             for name, texts in inputs.OMQ_ONTOLOGIES.items()
         }
         self.queries = {
             (name, text): OMQ.with_full_data_schema(
-                list(self.engines[name].tgds), parse_ucq(text)
+                list(self.tgds[name]), parse_ucq(text)
             )
             for name, texts in inputs.OMQ_QUERIES.items()
             for text in texts + (inputs.LARGE_QUERY,)
         }
+        self.begin_round()
+
+    def begin_round(self) -> None:
+        """Fresh sessions, so every round fills empty caches the same way."""
+        self.engines = None
+        gc.collect()
+        self.engines = {name: Engine(tgds) for name, tgds in self.tgds.items()}
 
     def ops(self):
         return inputs.omq_chase_ops(self.seed)
@@ -244,9 +257,12 @@ class ServiceMixed:
         self.loop = asyncio.new_event_loop()
 
     def setup(self) -> None:
-        self.loop.run_until_complete(self._setup())
+        self.pools = inputs.service_pools(self.seed)
+        self.ids = itertools.count()
+        self.loop.run_until_complete(self._start())
+        self.fresh = True
 
-    async def _setup(self) -> None:
+    async def _start(self) -> None:
         from repro.serve import QueryService, ServiceConfig, serve_tcp
 
         # Generous limits: no deadline trips, no shedding, no breaker.
@@ -270,8 +286,13 @@ class ServiceMixed:
         self.streams = []
         for _ in range(self.connections):
             self.streams.append(await asyncio.open_connection("127.0.0.1", port))
-        self.pools = inputs.service_pools(self.seed)
-        self.ids = itertools.count()
+
+    async def _stop(self) -> None:
+        for _reader, writer in self.streams:
+            writer.close()
+            await writer.wait_closed()
+        await self.transport.close()
+        await self.service.stop()
 
     def ops(self, connection: int):
         return inputs.service_ops(self.seed, connection, self.pools)
@@ -299,9 +320,27 @@ class ServiceMixed:
         latency = time.perf_counter() - start
         return latency, json.loads(reply)
 
-    def warmup(self) -> None:
-        async def fill():
-            # Every pooled database once per tenant: the read-side cache.
+    def round_ops(self, count: int) -> list:
+        """Each connection's first ``count / 2`` requests: every round sends these."""
+        share = -(-count // self.connections)
+        self.ops_lists = [
+            list(itertools.islice(self.ops(c), share)) for c in range(self.connections)
+        ]
+        return self.ops_lists
+
+    def begin_round(self) -> None:
+        """A fresh service (empty cache), then every pooled database once.
+
+        The warm pools are the read side of the cache (hits); the grown
+        variants of the round are extensions or misses, the same in every
+        round because the cache starts empty.
+        """
+
+        async def fresh():
+            if not self.fresh:
+                await self._stop()
+                await self._start()
+            self.fresh = False
             for tenant, pool in self.pools["pools"].items():
                 for facts in pool:
                     query = inputs.TENANT_QUERIES[tenant]["omq"][0]
@@ -313,19 +352,19 @@ class ServiceMixed:
                     op = {"tenant": tenant, "kind": "cqs", "query": query, "facts": facts}
                     await self._request(1, op)
 
-        self.loop.run_until_complete(fill())
+        self.loop.run_until_complete(fresh())
 
-    def run(self, *, seconds: float | None = None, ops: int | None = None, traced=False):
-        """Both connections send until time is up (or their op quota)."""
-        quota = None if ops is None else -(-ops // self.connections)
+    def run_round(self, ops_lists: list, traced=False) -> list:
+        """Both connections send their requests, each waiting for its reply.
 
-        async def client(connection: int, deadline: float, out: list):
-            stream = self.ops(connection)
-            while (
-                len(out) < quota if quota is not None else time.perf_counter() < deadline
-            ):
+        Records come back connection by connection, in request order, so a
+        position names the same request in every round.
+        """
+
+        async def client(connection: int, out: list):
+            for op in ops_lists[connection]:
                 try:
-                    latency, body = await self._request(connection, next(stream))
+                    latency, body = await self._request(connection, op)
                 except Exception as exc:  # noqa: BLE001 - counted as a failure
                     out.append(Record(0.0, error=repr(exc)))
                     continue
@@ -345,34 +384,19 @@ class ServiceMixed:
 
         async def timed():
             start = time.perf_counter()
-            deadline = start + (seconds or 0.0)
-            await asyncio.gather(
-                *(client(c, deadline, self.outs[c]) for c in range(self.connections))
-            )
-            self.timed_wall = time.perf_counter() - start
+            await asyncio.gather(*(client(c, outs[c]) for c in range(self.connections)))
+            self.round_wall = time.perf_counter() - start
 
-        self.outs = [[] for _ in range(self.connections)]
+        outs: list[list] = [[] for _ in range(self.connections)]
         self.loop.run_until_complete(timed())
-        return [record for out in self.outs for record in out]
+        return [record for out in outs for record in out]
 
     def close(self) -> None:
-        async def shut():
-            for _reader, writer in self.streams:
-                writer.close()
-                await writer.wait_closed()
-            await self.transport.close()
-            await self.service.stop()
-
-        self.loop.run_until_complete(shut())
+        self.loop.run_until_complete(self._stop())
         self.loop.close()
 
-    def oracle(self, records) -> None:
-        """Uncached chase for acme and globex OMQs, SQL for everything else.
-
-        Each connection's records (kept in ``self.outs`` by :meth:`run`,
-        whose return value *records* concatenates them) are paired with
-        that connection's regenerated stream.
-        """
+    def oracle(self, rounds: list) -> None:
+        """Uncached chase for acme and globex OMQs, SQL for everything else."""
 
         def route(op):
             ontology = inputs.TENANT_ONTOLOGIES[op["tenant"]]
@@ -381,11 +405,12 @@ class ServiceMixed:
             return ("sql", ontology, op["kind"], op["query"], op["facts"])
 
         oracle = Oracle()
-        for connection, out in enumerate(self.outs):
-            oracle.mark(out, self.ops(connection), route)
+        ops = [op for ops in self.ops_lists for op in ops]
+        for records in rounds:
+            oracle.mark(records, ops, route)
 
 
-DRIVERS = {
+RUNNERS = {
     "omq-chase": OmqChase,
     "cq-closed-world": ClosedWorld,
     "service-mixed": ServiceMixed,
